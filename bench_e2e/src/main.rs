@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path bench_e2e/Cargo.toml -- \
-//!     --workload reshard-many --seed 1 --seconds 15 --trace 0
+//!     --workload reshard-many --seed 1 --seconds 45 --trace 0
 //! ```
 //!
 //! Two rank threads each hold a `Checkpointer` and run a closed loop
@@ -28,12 +28,23 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use workload::Workload;
 
-/// Separate processes an end-to-end run is split into. Much of the
-/// run-to-run spread on a shared machine is per process (heap layout and
-/// page-fault luck of allocation-heavy phases), so the samples of several
-/// lifetimes are pooled. Each lifetime sets up once, which also gives
-/// `setup_s` several set-ups per run.
-const LIFETIMES: usize = 3;
+/// Fewest separate processes an end-to-end run is split into; more run
+/// while the run's `--seconds` allow another. Part of the run-to-run spread
+/// on a shared machine is per process, so the samples of several lifetimes
+/// are pooled. Each lifetime sets up once, which also gives `setup_s`
+/// several set-ups per run.
+const MIN_LIFETIMES: usize = 3;
+
+/// glibc malloc settings of every lifetime process: fixed thresholds
+/// instead of glibc's adaptive ones. With the adaptive thresholds a process
+/// either kept reusing warm heap for the capture buffers of a save or
+/// mapped and page-faulted them afresh on every save, by luck of its
+/// allocation history: the object-latency stall was about 30 ms in some
+/// processes and 80-110 ms in others. These settings give every process the
+/// warm case, as in a long-running trainer: buffers up to 32 MiB come from
+/// the heap, and freed heap is not returned to the kernel.
+const MALLOC_ENV: [(&str, &str); 2] =
+    [("MALLOC_MMAP_THRESHOLD_", "33554432"), ("MALLOC_TRIM_THRESHOLD_", "17179869184")];
 
 /// A run must print its result within this, killing a stuck lifetime.
 const DEADLINE: Duration = Duration::from_secs(170);
@@ -94,8 +105,9 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    /// Internal: run one lifetime and print its raw samples.
-    lifetime: bool,
+    /// Internal: run one lifetime of this many timed steps and print its
+    /// raw samples.
+    lifetime: Option<usize>,
     /// Internal: scrub the lifetime's newest committed step at the end.
     scrub: bool,
 }
@@ -118,7 +130,10 @@ fn parse_args() -> Result<Args, String> {
         "1" => true,
         other => return Err(format!("--trace must be 0 or 1, got {other:?}")),
     };
-    let lifetime = argv.iter().any(|a| a == "--lifetime");
+    let lifetime = match argv.iter().any(|a| a == "--lifetime") {
+        true => Some(get("--steps")?.parse().map_err(|e| format!("--steps: {e}"))?),
+        false => None,
+    };
     let scrub = argv.iter().any(|a| a == "--scrub");
     Ok(Args { workload, seed, seconds, trace, lifetime, scrub })
 }
@@ -134,8 +149,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.lifetime {
-        let l = run::measure(args.workload, args.seed, args.seconds, args.trace, args.scrub);
+    if let Some(steps) = args.lifetime {
+        let l = run::measure(args.workload, args.seed, steps, args.trace, args.scrub);
         let out = json!({
             "attempted": l.attempted,
             "failures": l.failures,
@@ -159,19 +174,24 @@ fn main() {
 }
 
 /// Run the lifetimes one after another, each in its own process, and pool
-/// their samples. A traced run is one lifetime: its numbers carry no bound.
+/// their samples: at least `MIN_LIFETIMES` (one when traced: the per-layer
+/// numbers carry no bound), then more while another fits in `--seconds`.
 fn orchestrate(args: &Args) -> (Value, Value) {
     let started = Instant::now();
-    let lifetimes = if args.trace { 1 } else { LIFETIMES };
+    let budget = Duration::from_secs_f64(args.seconds);
+    let min_lifetimes = if args.trace { 1 } else { MIN_LIFETIMES };
+    let steps = if args.trace { run::TRACED_STEPS } else { args.workload.lifetime_steps() };
     let mut pooled = Series::new();
     let mut attempted = 0u64;
     let mut failures: Vec<String> = Vec::new();
     let mut per_lifetime = Vec::new();
-    for i in 0..lifetimes {
+    let mut previous = Duration::ZERO;
+    let mut i = 0;
+    while i < min_lifetimes || started.elapsed() + previous <= budget {
+        let lifetime_start = Instant::now();
         // One scrub per run: it re-reads every byte of a step, which on
         // the object store costs seconds of simulated transfer.
-        let last = i + 1 == lifetimes;
-        match spawn_lifetime(args, args.seconds / lifetimes as f64, last, started) {
+        match spawn_lifetime(args, steps, i == 0, started) {
             Ok(l) => {
                 attempted += l.attempted;
                 failures.extend(l.failures.iter().map(|f| format!("lifetime {i}: {f}")));
@@ -186,6 +206,8 @@ fn orchestrate(args: &Args) -> (Value, Value) {
                 break;
             }
         }
+        previous = lifetime_start.elapsed();
+        i += 1;
     }
 
     let table: &[(&str, &str)] = if args.trace { &PER_LAYER } else { &END_TO_END };
@@ -226,7 +248,8 @@ fn orchestrate(args: &Args) -> (Value, Value) {
         "workload": wl.describe(),
         "seconds": args.seconds,
         "trace": args.trace,
-        "lifetimes": lifetimes,
+        "lifetime_steps": steps,
+        "malloc_env": MALLOC_ENV,
     });
     let timings: BTreeMap<&String, Value> = pooled.iter().map(|(k, v)| (k, summary(v))).collect();
     let mut report = BTreeMap::new();
@@ -255,16 +278,18 @@ fn orchestrate(args: &Args) -> (Value, Value) {
 /// prints. The child is killed if the run's deadline passes.
 fn spawn_lifetime(
     args: &Args,
-    seconds: f64,
+    steps: usize,
     scrub: bool,
     started: Instant,
 ) -> Result<Lifetime, String> {
     let exe = std::env::current_exe().map_err(|e| format!("locate own executable: {e}"))?;
     let mut child = Command::new(exe)
         .args(["--workload", args.workload.name(), "--seed", &args.seed.to_string()])
-        .args(["--seconds", &seconds.to_string(), "--trace", if args.trace { "1" } else { "0" }])
-        .arg("--lifetime")
+        .args(["--seconds", &args.seconds.to_string()])
+        .args(["--trace", if args.trace { "1" } else { "0" }])
+        .args(["--lifetime", "--steps", &steps.to_string()])
         .args(scrub.then_some("--scrub"))
+        .envs(MALLOC_ENV)
         .stdout(Stdio::piped())
         .spawn()
         .map_err(|e| format!("spawn: {e}"))?;

@@ -21,11 +21,8 @@ use std::time::Instant;
 /// Committed steps kept by the retention pass between steps.
 const KEEP_LAST: usize = 2;
 
-/// Untimed steps between set-up and the timed loop. The first steps after
-/// set-up still grow the heap (their saves and loads page-fault on fresh
-/// memory), which made the stall of a lifetime's first timed step several
-/// times its later ones.
-const SETTLE_STEPS: usize = 1;
+/// Timed steps of a traced lifetime: two of each kind of step.
+pub const TRACED_STEPS: usize = 6;
 
 /// Named sample series; `main` takes the median of each pooled series.
 pub type Series = BTreeMap<String, Vec<f64>>;
@@ -66,7 +63,7 @@ struct RankStep {
 /// What the rank threads share.
 struct Shared {
     wl: Workload,
-    seconds: f64,
+    steps: usize,
     trace: bool,
     clock: Clock,
     probe: Arc<TimedBackend>,
@@ -221,23 +218,21 @@ fn rank_main(
         untimed(&c);
         c
     });
-    for _ in 0..SETTLE_STEPS {
+    for _ in 0..shared.wl.settle_steps() {
         shared.barrier.wait();
         untimed(&ckpt);
     }
-    // ---- Timed closed loop: at least one step of each kind. With the
-    // warm-up and settle steps that fills the retention window, so the store,
-    // and with it peak memory, reaches its steady size whatever the step
-    // time. ----
+    // ---- Timed closed loop: a fixed number of steps, at least one of each
+    // kind. The retention window fills within the first of them, so the
+    // store, and with it peak memory, reaches its steady size. ----
     let kinds: &[Kind] =
         if shared.trace { &[Kind::Plain, Kind::Traced, Kind::NoTelemetry] } else { &[Kind::Plain] };
-    let loop_start = Instant::now();
     let mut done = 0usize;
     let mut requests_before = (0, 0);
     loop {
         let kind = kinds[done % kinds.len()];
         if rank == 0 {
-            if done >= kinds.len() && loop_start.elapsed().as_secs_f64() >= shared.seconds {
+            if done >= shared.steps.max(kinds.len()) {
                 shared.stop.store(true, Ordering::SeqCst);
             }
             shared.probe.set_step(step);
@@ -328,9 +323,9 @@ fn peak_rss_mb() -> f64 {
     usage.maxrss_kib as f64 / 1024.0
 }
 
-/// Run one lifetime of `wl` for `seconds` of timed steps; `scrub` checks
-/// the newest committed step at the end.
-pub fn measure(wl: Workload, seed: u64, seconds: f64, trace: bool, scrub: bool) -> Lifetime {
+/// Run one lifetime of `wl` with `steps` timed steps; `scrub` checks the
+/// newest committed step at the end.
+pub fn measure(wl: Workload, seed: u64, steps: usize, trace: bool, scrub: bool) -> Lifetime {
     let clock = Clock::new();
     let gen_start = Instant::now();
     let inputs = workload::generate(wl, seed);
@@ -341,7 +336,7 @@ pub fn measure(wl: Workload, seed: u64, seconds: f64, trace: bool, scrub: bool) 
     let backend: DynBackend = probe.clone();
     let shared = Shared {
         wl,
-        seconds,
+        steps,
         trace,
         clock,
         probe: probe.clone(),

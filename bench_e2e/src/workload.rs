@@ -42,6 +42,33 @@ impl Workload {
         }
     }
 
+    /// Timed steps in one lifetime (a traced lifetime runs `TRACED_STEPS`).
+    /// Fixed rather than timed: with the default per-step telemetry every
+    /// step of a `Checkpointer` is slower than the last, so a lifetime that
+    /// ran for a fixed time would sample a different part of that curve on a
+    /// faster or slower machine.
+    pub fn lifetime_steps(self) -> usize {
+        match self {
+            Workload::BulkDdp => 3,
+            Workload::ReshardMany => 5,
+            Workload::ObjectLatency => 4,
+        }
+    }
+
+    /// Untimed steps between set-up and the timed loop. On `reshard-many`
+    /// the stall of a new `Checkpointer`'s first steps climbs steeply
+    /// (about 45, then 60, then 68-73 ms, also for a second `Checkpointer`
+    /// in a warm process), and with those steps timed a run's median fell
+    /// on the slope and moved with every sample. On `object-latency` the
+    /// first step after set-up already stalls like the later ones.
+    pub fn settle_steps(self) -> usize {
+        match self {
+            Workload::BulkDdp => 1,
+            Workload::ReshardMany => 2,
+            Workload::ObjectLatency => 0,
+        }
+    }
+
     pub fn arch(self) -> TransformerConfig {
         let gpt = |name: &str, hidden, layers, vocab| TransformerConfig {
             name: name.into(),
